@@ -18,6 +18,15 @@ from .pade import fast_poles_residues, poles_and_residues
 from .scaling import moment_scale, scale_moments, unscale_poles, unscale_residues
 
 
+def record_dropped_orders(dropped: int) -> None:
+    """Add ``dropped`` to the ``repro_pade_dropped_orders_total`` counter."""
+    if dropped:
+        _metrics.registry().counter(
+            "repro_pade_dropped_orders_total",
+            "orders dropped by the stable-reduction fallback"
+        ).inc(dropped)
+
+
 def stable_reduction(moments: np.ndarray, order: int,
                      require_stable: bool = True,
                      scale: float | None = None) -> ReducedOrderModel:
@@ -37,30 +46,29 @@ def stable_reduction(moments: np.ndarray, order: int,
     a = moment_scale(m) if scale is None else float(scale)
     # m'_k = m_k * a^k stays O(m0) because m_k decays like 1/a^k
     scaled = scale_moments(m, a)
-    failures: list[str] = []
-    dropped = 0
+    # (order, error text or unstable poles) per dropped rung: the poles
+    # are formatted only if every rung fails — a lower rung usually wins
+    failures: list[tuple[int, object]] = []
     for q in range(order, 0, -1):
         try:
             poles_s, residues_s = poles_and_residues(scaled, q)
         except ApproximationError as exc:
-            failures.append(f"order {q}: {exc}")
-            dropped += 1
+            failures.append((q, str(exc)))
             continue
         poles = unscale_poles(poles_s, a)
         residues = unscale_residues(residues_s, a)
+        dropped = len(failures)
         model = ReducedOrderModel(poles, residues, order_requested=order,
                                   scale=a, dropped_unstable=dropped)
         if model.stable or not require_stable:
-            if dropped:
-                _metrics.registry().counter(
-                    "repro_pade_dropped_orders_total",
-                    "orders dropped by the stable-reduction fallback"
-                ).inc(dropped)
+            record_dropped_orders(dropped)
             return model
-        failures.append(f"order {q}: unstable poles {poles[poles.real >= 0]}")
-        dropped += 1
+        failures.append((q, poles))
+    lines = [f"order {q}: {why}" if isinstance(why, str)
+             else f"order {q}: unstable poles {why[why.real >= 0]}"
+             for q, why in failures]
     raise ApproximationError(
-        "no stable Padé reduction found:\n  " + "\n  ".join(failures),
+        "no stable Padé reduction found:\n  " + "\n  ".join(lines),
         moment_scale=a, order=order)
 
 

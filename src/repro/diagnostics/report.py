@@ -213,10 +213,11 @@ class SweepDiagnostics:
             condition_number=getattr(exc, "condition_number", None),
             moment_scale=getattr(exc, "moment_scale", None)))
 
-    def record_drop(self, dropped: int) -> None:
+    def record_drop(self, dropped: int, count: int = 1) -> None:
+        """Count ``count`` points that dropped ``dropped`` orders."""
         if dropped > 0:
             self.dropped_orders[dropped] = \
-                self.dropped_orders.get(dropped, 0) + 1
+                self.dropped_orders.get(dropped, 0) + count
 
     def merge(self, other: "SweepDiagnostics") -> "SweepDiagnostics":
         """Fold a shard's partial report into this one (indices in

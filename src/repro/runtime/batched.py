@@ -13,19 +13,27 @@ gap.  A batched sweep:
    register-machine pass emits every moment, sharing subexpressions
    across outputs and performing the determinant unscaling inside the
    kernel with the same IEEE operations as the numpy ladder;
-3. extracts poles and residues with vectorized closed forms — exact
-   array transcriptions of :func:`repro.awe.pade.fast_poles_residues`
-   for orders 1-2, stacked Hankel solves plus batched companion-matrix
-   eigenvalues (:func:`vector_poles_residues_general`) for higher
-   orders — and evaluates the metric, using a registered vectorized
-   implementation when one exists;
-4. falls back per point *only* where the closed form is degenerate or
-   the fast Padé is unstable — the fallback is
-   :func:`repro.awe.stability.rom_from_moments`, the exact per-point
-   path.  Orders 1-2 are bit-identical to the legacy sweep
-   (``tests/runtime/test_differential.py`` enforces this); order > 2
-   batched linalg legitimately reorders reductions and is held to the
-   ``ToleranceLadder.exact`` band instead (``docs/runtime.md``).
+3. extracts poles and residues with one batched, lockstep version of
+   the per-point stable-order ladder (:func:`_pade_ladder`): orders 1-2
+   first try exact array transcriptions of
+   :func:`repro.awe.pade.fast_poles_residues`; every lane left over —
+   and every lane at higher orders — retries with the others at ``q``,
+   ``q-1``, ... ``1``, each rung a stacked Hankel solve, companion
+   ``eigvals`` and Vandermonde solve (:func:`_pade_rung`).  A singular
+   lane is screened out on its own (``slogdet`` sign 0 on the LU that
+   ``solve`` factors, :func:`_solve`) and drops an order like the scalar
+   ladder, so it never costs the rest of the stack.  Lanes settle with their
+   orders-dropped count and reach the metric grouped by final order,
+   through a registered vectorized implementation when one exists;
+4. leaves to the per-point :func:`repro.awe.stability.rom_from_moments`
+   only the lanes no rung settles — exhausted ladders, which it
+   quarantines, and the rare lanes whose outcome the stacked form cannot
+   vouch for (non-finite intermediates).  The final order, orders
+   dropped and NaN / quarantine placement of every lane are the
+   per-point path's.  Lanes the closed form settles are bit-identical
+   to the legacy sweep (``tests/runtime/test_differential.py`` enforces
+   this); the general rungs are held to the ``ToleranceLadder.exact``
+   band (``docs/runtime.md``, ``tests/runtime/test_pade_ladder.py``).
 
 Shards split the flattened grid into contiguous chunks evaluated
 independently (optionally on a thread pool), and a
@@ -46,12 +54,12 @@ import math
 import os
 import threading
 import time
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..awe.model import ReducedOrderModel
-from ..awe.stability import rom_from_moments
+from ..awe.stability import record_dropped_orders, rom_from_moments
 from ..core import metrics as _metrics
 from ..diagnostics import (QuarantinedPoint, ShardFailure, SweepDiagnostics,
                            SweepResult)
@@ -344,13 +352,24 @@ def vector_poles_residues(moments: np.ndarray, order: int,
         the per-point fallback; ``ok`` is deliberately conservative so
         that every ``ok`` point matches the scalar fast path exactly.
     """
+    poles, residues, ok, _failed = _closed_form(moments, order)
+    return poles, residues, ok
+
+
+def _closed_form(moments: np.ndarray, order: int):
+    """:func:`vector_poles_residues` plus a ``failed`` mask: the lanes on
+    which the scalar fast path raises :class:`ApproximationError` (so
+    :func:`~repro.awe.stability.rom_from_moments` moves on to the general
+    ladder at the same order).  Lanes neither ``ok`` nor ``failed`` are
+    ones whose scalar outcome the array form cannot vouch for."""
     if order == 1:
         m0, m1 = moments[0], moments[1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = m0 / m1
             r = -(m0 * m0) / m1
         ok = (m1 != 0.0) & np.isfinite(p) & np.isfinite(r)
-        return p[None, :].astype(complex), r[None, :].astype(complex), ok
+        return (p[None, :].astype(complex), r[None, :].astype(complex), ok,
+                m1 == 0.0)
     if order != 2:
         raise ApproximationError(
             f"vectorized closed form supports orders 1-2, got {order}")
@@ -396,12 +415,167 @@ def vector_poles_residues(moments: np.ndarray, order: int,
         poles = np.stack([p1 * a, p2 * a])
         residues = np.stack([r1 * a, r2 * a])
     ok &= np.isfinite(residues).all(axis=0) & (p1 != 0.0) & (p2 != 0.0)
-    return poles, residues, ok
+    failed = np.zeros_like(ok)
+    if not ok.all():
+        # the scalar raises, in order: singular Hankel, zero b2, then
+        # (with a finite denominator, where both branch tests agree) a
+        # zero q or repeated poles; NaN/inf intermediates raise nothing
+        failed = (det == 0.0) | (b2 == 0.0)
+        finite = np.isfinite(b1) & np.isfinite(b2)
+        failed |= finite & ((~branch_a & (qv == 0.0)) | (p1 == p2))
+    return poles, residues, ok, failed
 
 
 # ----------------------------------------------------------------------
 # vectorized general-order Padé (stacked Hankel + companion eigvals)
 # ----------------------------------------------------------------------
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """Column sums of ``rows`` in the order numpy sums a 1-D array:
+    sequential below 8 terms, eight interleaved accumulators up to 128,
+    halving above — so a lane's sum is bit-identical to ``np.sum`` of
+    that lane's values alone."""
+    n = rows.shape[0]
+    if n < 8:
+        acc = rows[0]
+        for row in rows[1:]:
+            acc = acc + row
+        return acc
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    r = rows[:8].copy()
+    i = 8
+    while i < n - n % 8:
+        r += rows[i:i + 8]
+        i += 8
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in rows[i:]:
+        acc = acc + row
+    return acc
+
+
+def _scaled_moments(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane :func:`~repro.awe.scaling.moment_scale` and
+    :func:`~repro.awe.scaling.scale_moments`, bit for bit.
+
+    Returns ``(s, a)``: the scaled moments ``s_k = m_k a^k`` and the scale
+    ``a`` (the geometric mean of the lane's nonzero successive-moment
+    ratios).  Each lane's ratios are packed to the front before summing,
+    so the mean adds the same terms in the same order as the scalar path.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        valid = (m[:-1] != 0.0) & (m[1:] != 0.0)
+        if valid.all():
+            logs = np.log(np.abs(m[:-1] / m[1:]))
+            a = np.exp(_pairwise_sum(logs) / len(logs))
+        else:
+            logs = np.log(np.abs(np.where(valid, m[:-1], 1.0)
+                                 / np.where(valid, m[1:], 1.0)))
+            logs = np.take_along_axis(
+                logs, np.argsort(~valid, axis=0, kind="stable"), axis=0)
+            count = valid.sum(axis=0)
+            a = np.ones(m.shape[1])
+            for k in np.unique(count[count > 0]):
+                lanes = count == k
+                a[lanes] = np.exp(_pairwise_sum(logs[:k, lanes]) / k)
+        a = np.where(np.isfinite(a) & (a != 0.0), a, 1.0)
+        # exponent along the inner loop, like the scalar ``a ** arange``
+        powers = np.power(a[:, None], np.arange(m.shape[0], dtype=float))
+        return m * powers.T, a
+
+
+def _eigvals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``eigvals`` plus a per-matrix success mask: when LAPACK
+    fails to converge somewhere in the stack, halve it and retry, so only
+    the failing matrices are lost."""
+    try:
+        return np.linalg.eigvals(stack), np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return (np.zeros(stack.shape[:2], dtype=complex),
+                    np.zeros(1, dtype=bool))
+        half = len(stack) // 2
+        lo, ok_lo = _eigvals(stack[:half])
+        hi, ok_hi = _eigvals(stack[half:])
+        return (np.concatenate([lo.astype(complex), hi.astype(complex)]),
+                np.concatenate([ok_lo, ok_hi]))
+
+
+def _solve(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``solve`` plus a per-matrix singular mask.  When the stack
+    raises, the exactly singular matrices are screened out on their own:
+    ``slogdet``'s sign is 0 exactly where the LU factorization ``solve``
+    runs hits a zero pivot, which is where ``solve`` raises.  Their rows
+    of the solution are garbage."""
+    try:
+        return np.linalg.solve(stack, rhs), np.zeros(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(stack)[0] == 0
+        stack = stack.copy()
+        stack[singular] = np.eye(stack.shape[-1])
+        return np.linalg.solve(stack, rhs), singular
+
+
+def _pade_rung(s: np.ndarray, q: int):
+    """One order-``q`` attempt of :func:`repro.awe.stability.stable_reduction`
+    over scaled-moment lanes (columns of ``s``).
+
+    Hankel solve for the denominator, roots via the companion matrix
+    ``np.roots`` builds, residues from the moment/pole Vandermonde system
+    — each lane with the same LAPACK calls the scalar path makes, so a
+    lane raises where the scalar attempt raises, alone (:func:`_solve`,
+    :func:`_eigvals`).
+
+    Returns ``(poles, residues, ok, failed)`` in the scaled domain, shape
+    ``(q, lanes)``.  ``failed`` marks lanes where the scalar attempt
+    raises :class:`ApproximationError` (the ladder drops an order);
+    lanes neither ``ok`` nor ``failed`` hit an outcome the stacked form
+    does not reproduce (non-finite intermediates, a LAPACK convergence
+    failure) and belong to the per-point path.
+    """
+    n = s.shape[1]
+    eye = np.eye(q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Hankel solve for b1..bq: sum_j b_j s_{k-j} = -s_k, k = q..2q-1
+        live = np.isfinite(s[:2 * q]).all(axis=0)
+        A = s[np.arange(q - 1, 2 * q - 1)[:, None] - np.arange(q)]
+        A = A.transpose(2, 0, 1)
+        A[~live] = eye
+        b, failed = _solve(A, -s[q:2 * q].T[:, :, None])
+        b = b[:, :, 0]
+        # a non-finite b or a zero b_q (np.roots then finds < q roots) raise
+        live &= ~failed
+        degenerate = live & ~(np.isfinite(b).all(axis=1) & (b[:, -1] != 0.0))
+        failed |= degenerate
+        live &= ~degenerate
+        # roots of 1 + b1 s + ... + bq s^q via the np.roots companion
+        # matrix: monic-normalized [b_q .. b_1, 1], subdiagonal ones
+        comp = np.zeros((n, q, q))
+        comp[:, np.arange(1, q), np.arange(q - 1)] = 1.0
+        comp[:, 0, :q - 1] = -b[:, -2::-1]
+        comp[:, 0, q - 1] = -1.0
+        comp[:, 0, :] /= np.where(live, b[:, -1], 1.0)[:, None]
+        live &= np.isfinite(comp[:, 0, :]).all(axis=1)
+        comp[~live] = eye
+        poles, converged = _eigvals(comp)
+        live &= converged & np.isfinite(poles).all(axis=1)
+        origin = live & (np.abs(poles) < 1e-300).any(axis=1)
+        failed |= origin
+        live &= ~origin
+        # residues from the moment/pole Vandermonde system:
+        # s_k = -sum_i r_i / p_i^(k+1), k = 0..q-1
+        safe_p = np.where(live[:, None], poles, 1.0)
+        V = -1.0 / safe_p[:, None, :] ** np.arange(1, q + 1)[None, :, None]
+        live &= np.isfinite(V).all(axis=(1, 2))
+        V[~live] = eye
+        res, repeated = _solve(V, s[:q].T[:, :, None].astype(complex))
+        res = res[:, :, 0]
+        failed |= live & repeated
+        ok = live & ~repeated & np.isfinite(res).all(axis=1)
+    return poles.T.astype(complex), res.T, ok, failed
+
+
 def vector_poles_residues_general(moments: np.ndarray, order: int,
                                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized general-order Padé: stacked Hankel solves plus batched
@@ -411,7 +585,8 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
     :func:`repro.awe.stability.stable_reduction` — moment-ratio
     conditioning scale, Hankel solve for the denominator, roots via the
     same companion matrix ``np.roots`` builds, residues from the
-    moment/pole Vandermonde system, unscale by ``a``.
+    moment/pole Vandermonde system, unscale by ``a`` (see
+    :func:`_pade_rung`).
 
     Args:
         moments: ``(>= 2*order, n_points)`` float array (all rows enter
@@ -421,90 +596,96 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
     Returns:
         ``(poles, residues, ok)`` with ``poles``/``residues`` of shape
         ``(order, n_points)`` complex.  ``ok`` is conservative: lanes
-        with a zero or non-finite moment, a degenerate denominator, or
-        any non-finite intermediate fall back to the exact per-point
-        path (which also performs the stable order-dropping retries).
-        Unlike the order 1-2 closed forms, stacked LAPACK reductions may
-        reorder floating-point operations relative to ``np.roots`` /
-        per-point solves, so ``ok`` points agree with the scalar path to
-        the ``ToleranceLadder.exact`` band rather than bit-for-bit
-        (``docs/runtime.md`` documents this carve-out).
+        with a degenerate denominator, a singular system, or any
+        non-finite intermediate are left to the caller.  Stacked LAPACK
+        calls match the per-point ones lane by lane, but batched powers
+        and complex promotion may round residues differently from
+        ``np.roots`` / per-point solves, so ``ok`` points agree with the
+        scalar path to the ``ToleranceLadder.exact`` band rather than
+        bit-for-bit (``docs/runtime.md`` documents this carve-out).
     """
     q = int(order)
-    n = moments.shape[1]
-    poles = np.zeros((q, n), dtype=complex)
-    residues = np.zeros((q, n), dtype=complex)
-    ok = np.zeros(n, dtype=bool)
     if q < 1 or moments.shape[0] < 2 * q:
         raise ApproximationError(
             f"order {q} Padé needs {2 * q} moments, got {moments.shape[0]}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = moments
-        usable = np.isfinite(m).all(axis=0)
-        if not usable.any():
-            return poles, residues, ok
-        # conditioning scale: per-lane geometric mean of the successive
-        # moment ratios whose both moments are nonzero — the same ratio
-        # set as scaling.moment_scale (masked summation may reorder the
-        # mean's additions, which is inside the order>2 tolerance band)
-        valid = (m[:-1] != 0.0) & (m[1:] != 0.0)
-        safe = np.where(valid, m[1:], 1.0)
-        logs = np.where(valid, np.log(np.abs(np.where(valid, m[:-1], 1.0)
-                                             / safe)), 0.0)
-        count = valid.sum(axis=0)
-        a = np.exp(logs.sum(axis=0) / np.maximum(count, 1))
-        a = np.where((count > 0) & np.isfinite(a) & (a != 0.0), a, 1.0)
-        s = m * a ** np.arange(m.shape[0], dtype=float)[:, None]
-        # Hankel solve for b1..bq: sum_j b_j m'_{k-j} = -m'_k, k = q..2q-1
-        A = np.empty((n, q, q))
-        for r in range(q):
-            for j in range(1, q + 1):
-                A[:, r, j - 1] = s[q + r - j]
-        rhs = -s[q:2 * q].T
-        usable &= (np.isfinite(A).all(axis=(1, 2))
-                   & np.isfinite(rhs).all(axis=1))
-        A[~usable] = np.eye(q)
-        rhs = np.where(usable[:, None], rhs, 0.0)
-        try:
-            b = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular lane slipped past the masks; retreat to
-            # the per-point path for the whole chunk (rare, still exact)
-            return poles, residues, np.zeros(n, dtype=bool)
-        usable &= np.isfinite(b).all(axis=1) & (b[:, -1] != 0.0)
-        if not usable.any():
-            return poles, residues, ok
-        # roots of 1 + b1 s + ... + bq s^q via the np.roots companion
-        # matrix: monic-normalized [b_q .. b_1, 1], subdiagonal ones
-        lead = np.where(usable, b[:, -1], 1.0)
-        coeffs = np.concatenate([b[:, -2::-1], np.ones((n, 1))], axis=1)
-        comp = np.zeros((n, q, q))
-        idx = np.arange(q - 1)
-        comp[:, idx + 1, idx] = 1.0
-        comp[:, 0, :] = -coeffs / lead[:, None]
-        comp[~usable] = np.eye(q)
-        try:
-            poles_s = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError:
-            return poles, residues, np.zeros(n, dtype=bool)
-        usable &= (np.isfinite(poles_s).all(axis=1)
-                   & (np.abs(poles_s) >= 1e-300).all(axis=1))
-        # residues from the moment/pole Vandermonde system:
-        # m'_k = -sum_i r_i / p_i^(k+1), k = 0..q-1 (scaled domain)
-        safe_p = np.where(usable[:, None], poles_s, 1.0)
-        V = -1.0 / safe_p[:, None, :] ** np.arange(1, q + 1)[None, :, None]
-        V[~usable] = np.eye(q)
-        mv = np.where(usable[:, None], s[:q].T, 0.0).astype(complex)
-        try:
-            res = np.linalg.solve(V, mv[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # repeated poles somewhere in the stack: per-point fallback
-            return poles, residues, np.zeros(n, dtype=bool)
-        usable &= np.isfinite(res).all(axis=1)
-        poles = (poles_s * a[:, None]).T
-        residues = (res * a[:, None]).T
-        ok = usable
-    return poles, residues, ok
+    s, a = _scaled_moments(moments)
+    poles, residues, ok, _failed = _pade_rung(s, q)
+    return poles * a, residues * a, ok
+
+
+class _Settled(NamedTuple):
+    """Lanes the Padé ladder settled at one final order ``q``, having
+    dropped ``order - q`` orders on the way (as the scalar ladder does)."""
+
+    lanes: np.ndarray      # chunk-local point indices
+    poles: np.ndarray      # (q, lanes) complex
+    residues: np.ndarray   # (q, lanes) complex
+
+
+def _pade_ladder(moments: np.ndarray, order: int, require_stable: bool,
+                 alive: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Batched, lockstep :func:`~repro.awe.stability.rom_from_moments`.
+
+    Orders 1-2 first try the closed form (:func:`_closed_form`).  Every
+    lane it does not settle — and every lane at higher orders — then
+    climbs down the general ladder together: the lanes still pending
+    retry at ``q``, ``q-1``, ... ``1`` (:func:`_pade_rung`), each rung
+    settling the lanes that produce a (stable, when required) model and
+    dropping the rest an order, exactly as the scalar ladder does.
+
+    Returns ``(settled, residual)``: ``{final order: _Settled}`` and the
+    sorted indices of lanes no rung settled — exhausted ladders (the
+    scalar raises "no stable Padé reduction") and lanes whose outcome
+    the stacked form does not reproduce.  Those go through the exact
+    per-point path.
+    """
+    blocks: dict[int, list[_Settled]] = {}
+    residual = []
+
+    def settle(q, lanes, poles, residues):
+        if len(lanes):
+            blocks.setdefault(q, []).append(_Settled(lanes, poles, residues))
+
+    n_alive = np.count_nonzero(alive)
+    if order <= 2 and n_alive:
+        head = moments[:2 * order]
+        poles, residues, ok, failed = _closed_form(
+            head if n_alive == len(alive) else head[:, alive], order)
+        # lane indices only now, past the closed form's peak memory
+        lanes = np.flatnonzero(alive)
+        keep = ok
+        if require_stable:
+            keep = ok & np.all(poles.real < 0.0, axis=0)
+        if keep.all():
+            settle(order, lanes, poles, residues)
+            lanes = lanes[:0]
+        else:
+            settle(order, lanes[keep], poles[:, keep], residues[:, keep])
+            residual.append(lanes[~ok & ~failed])
+            lanes = lanes[~keep & (ok | failed)]
+    else:
+        lanes = np.flatnonzero(alive)
+    if len(lanes):
+        s, a = _scaled_moments(moments[:, lanes])
+        for q in range(order, 0, -1):
+            if not len(lanes):
+                break
+            poles, residues, ok, failed = _pade_rung(s, q)
+            poles, residues = poles * a, residues * a
+            keep = ok
+            if require_stable:
+                keep = ok & np.all(poles.real < 0.0, axis=0)
+            settle(q, lanes[keep], poles[:, keep], residues[:, keep])
+            residual.append(lanes[~ok & ~failed])
+            drop = ~keep & (ok | failed)
+            lanes, s, a = lanes[drop], s[:, drop], a[drop]
+        residual.append(lanes)
+    settled = {q: parts[0] if len(parts) == 1 else _Settled(
+                   *(np.concatenate(f, axis=-1) for f in zip(*parts)))
+               for q, parts in blocks.items()}
+    residual = (np.sort(np.concatenate(residual)) if residual
+                else np.empty(0, dtype=int))
+    return settled, residual
 
 
 # ----------------------------------------------------------------------
@@ -663,34 +844,45 @@ def _sweep_chunk(model, columns: Sequence, n_points: int,
     moments, singular = _chunk_moments(model, columns, n_points, stats,
                                        diag, offset, kernel=kernel)
     _chunk_health(moments, order, diag)
-    alive = ~singular
 
     with stats.stage("pade"):
-        if order <= 2:
-            poles, residues, ok = vector_poles_residues(moments, order)
-        else:
-            poles, residues, ok = vector_poles_residues_general(moments, order)
-        if require_stable:
-            ok &= np.all(poles.real < 0.0, axis=0)
-        ok &= alive
-    good = np.flatnonzero(ok)
-    fallback = np.flatnonzero(~ok & alive)
+        settled, residual = _pade_ladder(moments, order, require_stable,
+                                         ~singular)
     with stats.stage("metric"):
         vectorized = VECTOR_METRICS.get(metric)
-        if vectorized is not None and len(good):
-            out[good] = vectorized(poles[:, good], residues[:, good])
-        else:
-            for i in good:
-                rom = ReducedOrderModel(poles[:, i], residues[:, i],
-                                        order_requested=order)
+        for q, block in settled.items():
+            if vectorized is not None:
+                out[block.lanes] = vectorized(block.poles, block.residues)
+                continue
+            for j, i in enumerate(block.lanes):
+                rom = ReducedOrderModel(
+                    block.poles[:, j], block.residues[:, j],
+                    order_requested=order, dropped_unstable=order - q)
                 try:
                     out[i] = metric(rom)  # NaN stays, like the legacy sweep
                 except ApproximationError as exc:
                     diag.quarantine_error(offset + int(i), "metric", exc)
-    stats.vectorized_points += len(good)
+    for q, block in settled.items():
+        stats.vectorized_points += len(block.lanes)
+        if q < order:
+            diag.record_drop(order - q, len(block.lanes))
+            record_dropped_orders((order - q) * len(block.lanes))
 
-    with stats.stage("metric"):
-        for i in fallback:
+    if len(residual):
+        _residual_lanes(moments, residual, out, metric, order,
+                        require_stable, offset, stats, diag)
+    stats.points += n_points
+    diag.points += n_points
+    return out, stats, diag
+
+
+def _residual_lanes(moments, residual, out, metric, order, require_stable,
+                    offset, stats, diag) -> None:
+    """The lanes no ladder rung settled, through the exact per-point path,
+    which quarantines them (or reproduces what the stacked form cannot)."""
+    roms = []
+    with stats.stage("pade"):
+        for i in residual:
             try:
                 rom = rom_from_moments(moments[:, i], order,
                                        require_stable=require_stable)
@@ -698,14 +890,14 @@ def _sweep_chunk(model, columns: Sequence, n_points: int,
                 diag.quarantine_error(offset + int(i), "pade", exc)
                 continue
             diag.record_drop(rom.dropped_unstable)
+            roms.append((i, rom))
+    with stats.stage("metric"):
+        for i, rom in roms:
             try:
                 out[i] = metric(rom)
             except ApproximationError as exc:
                 diag.quarantine_error(offset + int(i), "metric", exc)
-    stats.fallback_points += len(fallback)
-    stats.points += n_points
-    diag.points += n_points
-    return out, stats, diag
+    stats.fallback_points += len(residual)
 
 
 def _collapse_dtype(out: np.ndarray) -> np.ndarray:
@@ -774,8 +966,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         metric: scalar metric of a reduced-order model.  Metrics listed
             in :data:`VECTOR_METRICS` evaluate as one array expression.
         order: Padé order (default: the model's compiled order).
-        require_stable: demand stable poles (unstable fast-Padé points
-            re-run through the stable-order fallback, like the scalar path).
+        require_stable: demand stable poles (unstable lanes drop orders
+            on the batched Padé ladder, like the scalar path).
         shards: number of contiguous grid chunks (default: one per worker).
         max_workers: worker-pool width for shard execution (default:
             ``min(shards, os.cpu_count())`` when sharding was requested,

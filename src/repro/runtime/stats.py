@@ -25,11 +25,12 @@ class RuntimeStats:
 
     Attributes:
         points: total grid points evaluated.
-        vectorized_points: points fully served by the vectorized
-            closed-form path (moments + order-1/2 Padé as array ops).
-        fallback_points: points routed through the per-point numeric
-            Padé / stability fallback (degenerate or unstable fast Padé,
-            or order > 2).
+        vectorized_points: points settled by the batched Padé ladder
+            (closed form or a stacked general rung, orders dropped
+            included).
+        fallback_points: points no ladder rung settled, handed to the
+            per-point :func:`~repro.awe.stability.rom_from_moments`
+            (exhausted ladders it quarantines, non-finite moments).
         nan_points: points that ended up NaN (degenerate Padé).
         quarantined_points: points removed by the resilience layer (see
             the sweep's ``diagnostics`` report for the per-point records).
@@ -49,8 +50,9 @@ class RuntimeStats:
             (amortized setup, not per-sweep; copied from the model).
         evaluate_seconds: evaluating the compiled moment program over the
             grid (the paper's "reduced set of operations").
-        pade_seconds: vectorized pole/residue extraction.
-        metric_seconds: metric evaluation plus per-point fallback work.
+        pade_seconds: pole/residue extraction: the batched ladder plus
+            the per-point reductions of the fallback points.
+        metric_seconds: metric evaluation.
         total_seconds: wall-clock for the whole sweep call.  Stage times
             are summed across shards, so with parallel workers their sum
             can exceed ``total_seconds``; :attr:`parallel_efficiency`

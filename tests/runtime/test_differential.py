@@ -148,8 +148,8 @@ def test_general_order_batched_matches_per_point(lines_o4, order):
     solves + companion-matrix eigvals).  Batched linalg legitimately
     reorders reductions, so values agree to the exact-tier tolerance
     (5e-4) rather than bit-for-bit; NaN placement must still match
-    exactly, and unstable lanes must fall back to the per-point
-    order-dropping path (identical results by construction)."""
+    exactly, and unstable lanes drop orders on the batched ladder, never
+    reaching the per-point path."""
     grids = {"Rdrv1": np.linspace(10.0, 400.0, 6),
              "Cload2": np.linspace(10e-15, 1e-12, 6)}
     for require_stable in (True, False):
@@ -163,6 +163,7 @@ def test_general_order_batched_matches_per_point(lines_o4, order):
                 grids, metric, order, require_stable=require_stable)
             assert stats.vectorized_points > 0
             assert_same_surface(batched, legacy, rtol=5e-4)
+            assert stats.fallback_points == 0
 
 
 def test_scalar_metric_fallback_event(fig1_model):
